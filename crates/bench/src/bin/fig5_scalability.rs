@@ -763,7 +763,7 @@ fn main() {
     let probe_consumer = CacheConsumer::new(64);
     for &node in &probe_nodes {
         probe_cache
-            .warm_with(g, node, L1 as u32, &mut scratch)
+            .warm(g, node, L1 as u32, &mut scratch)
             .expect("warm probe ball");
     }
     let mut ram_ns = Vec::new();

@@ -7,18 +7,12 @@
 //! extraction for them is the dominant host cost (Fig. 7's light-blue
 //! bars). Under skewed real traffic the *same* hub balls recur across
 //! concurrent queries too, so extracted state is most valuable when it is
-//! shared by every worker serving the batch. One cache core lives here:
-//!
-//! * [`ConcurrentSubgraphCache`] — the serving structure: a sharded,
-//!   lock-striped map of `Arc<Subgraph>` designed for N batch workers
-//!   hammering it at once.
-//! * [`SubgraphCache`] — the single-threaded owned facade keyed by the
-//!   same `(node, depth)` keys, for one engine serving queries
-//!   sequentially (`&mut self`). It is a thin wrapper over a
-//!   single-shard concurrent core plus a private [`CacheConsumer`], so
-//!   eviction, windows, byte budgets and admission share **one** code
-//!   path with the serving cache (strict LRU with deterministic key
-//!   tie-breaking falls out of the single-shard configuration).
+//! shared by every worker serving the batch. [`ConcurrentSubgraphCache`]
+//! is that shared structure: a sharded, lock-striped map of resident
+//! balls designed for N batch workers hammering it at once. A
+//! single-shard configuration ([`ConcurrentSubgraphCache::with_shards`]
+//! with one shard) evicts in strict LRU order with deterministic key
+//! tie-breaking when driven from one thread.
 //!
 //! # Byte-denominated capacity
 //!
@@ -131,15 +125,15 @@
 //! BFS miss. The on-disk file format is documented in
 //! [`ballindex`](crate::ballindex).
 //!
-//! Both cache facades store [`Arc<Subgraph>`] so readers share entries
-//! without copying, and both charge **zero BFS work on hits** — the
-//! whole point of caching (the work counter in the `_counted` getters is
-//! the adjacency entries scanned, 0 unless this call performed the BFS).
+//! Residents are shared as `Arc`s, so readers never copy a ball, and a
+//! hit charges **zero BFS work** — the whole point of caching (the work
+//! a lookup reports is the adjacency entries scanned, 0 unless this call
+//! performed the BFS).
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
-use meloppr_graph::{bfs_ball, ExtractScratch, FastHashMap, GraphView, NodeId, Subgraph};
+use meloppr_graph::{ExtractScratch, FastHashMap, GraphView, NodeId, Subgraph};
 
 use crate::ballindex::BallIndex;
 use crate::error::Result;
@@ -156,11 +150,9 @@ type CacheKey = (NodeId, u32);
 /// stores residents as [`CompactBall`]s (`u16` local adjacency, no
 /// global→local map) at roughly **half** the bytes, so the same
 /// [`CacheBudget::bytes`] holds ~2× more balls (asserted ≥ 1.5× by the
-/// fig5 ladder section). Compact residents are served to the staged
-/// engine's ball-aware lookups and diffused by the dense quantized
-/// kernel; legacy full-ball getters hitting a compact resident fall back
-/// to a fresh extraction (only reachable when compaction was explicitly
-/// opted into).
+/// fig5 ladder section). Compact residents are served as they are by
+/// [`ConcurrentSubgraphCache::get_ball_with_as`] and diffused by the
+/// dense quantized kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BallStore {
     /// Residents are full [`Subgraph`]s (default).
@@ -261,270 +253,6 @@ impl CacheBudget {
     pub fn with_bytes(mut self, bytes: usize) -> Self {
         self.bytes = Some(bytes);
         self
-    }
-}
-
-/// An LRU cache of extracted BFS-ball sub-graphs (single-threaded owned
-/// facade).
-///
-/// This is a thin wrapper over a **single-shard**
-/// [`ConcurrentSubgraphCache`] plus a private [`CacheConsumer`]: the
-/// eviction scan, byte budget, admission policy and hit-rate window are
-/// literally the concurrent cache's — one code path, two facades. With a
-/// single shard and single-threaded use the clock stamps are a strict
-/// LRU order with deterministic smallest-key tie-breaking, exactly the
-/// old owned semantics.
-///
-/// For sharing extracted balls *across* concurrent batch workers, use
-/// [`ConcurrentSubgraphCache`] directly.
-///
-/// # Examples
-///
-/// ```
-/// use meloppr_core::cache::SubgraphCache;
-/// use meloppr_graph::generators;
-///
-/// # fn main() -> Result<(), meloppr_core::PprError> {
-/// let g = generators::karate_club();
-/// let mut cache = SubgraphCache::new(16);
-/// let a = cache.get_or_extract(&g, 0, 2)?;
-/// let b = cache.get_or_extract(&g, 0, 2)?; // served from cache
-/// assert!(std::sync::Arc::ptr_eq(&a, &b));
-/// assert_eq!(cache.hits(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct SubgraphCache {
-    core: ConcurrentSubgraphCache,
-    consumer: CacheConsumer,
-}
-
-impl SubgraphCache {
-    /// Creates a cache holding at most `capacity` sub-graphs, with the
-    /// default [`DEFAULT_HIT_WINDOW`]-lookup hit-rate window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_window(capacity, DEFAULT_HIT_WINDOW)
-    }
-
-    /// As [`SubgraphCache::new`] with an explicit sliding-window size for
-    /// [`SubgraphCache::recent_hit_rate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `window == 0`.
-    pub fn with_window(capacity: usize, window: usize) -> Self {
-        Self::with_budget(CacheBudget::entries(capacity), window)
-    }
-
-    /// An owned cache governed by an arbitrary [`CacheBudget`] — byte
-    /// bounds work exactly as on the concurrent cache (same core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a budget bound or `window` is zero.
-    pub fn with_budget(budget: CacheBudget, window: usize) -> Self {
-        SubgraphCache {
-            core: ConcurrentSubgraphCache::with_budget_and_shards(budget, 1),
-            consumer: CacheConsumer::new(window),
-        }
-    }
-
-    /// Sets the [`AdmissionPolicy`] (builder style), as
-    /// [`ConcurrentSubgraphCache::with_admission`].
-    #[must_use]
-    pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.core = self.core.with_admission(policy);
-        self
-    }
-
-    /// Sets the resident-ball representation (builder style), as
-    /// [`ConcurrentSubgraphCache::with_ball_store`].
-    #[must_use]
-    pub fn with_ball_store(mut self, store: BallStore) -> Self {
-        self.core = self.core.with_ball_store(store);
-        self
-    }
-
-    /// Attaches a persisted ball index as the cold tier (builder style),
-    /// as [`ConcurrentSubgraphCache::with_cold_tier`].
-    #[must_use]
-    pub fn with_cold_tier(mut self, index: Arc<BallIndex>) -> Self {
-        self.core = self.core.with_cold_tier(index);
-        self
-    }
-
-    /// Resizes the hit-rate window, discarding its current contents
-    /// (cumulative counters are kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn set_window(&mut self, window: usize) {
-        self.consumer.resize_window(window);
-    }
-
-    /// Returns the cached ball around `(node, depth)`, extracting and
-    /// inserting it on a miss (evicting least-recently-used entries until
-    /// the budget holds it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<Arc<Subgraph>> {
-        Ok(self.get_or_extract_counted(g, node, depth)?.0)
-    }
-
-    /// As [`SubgraphCache::get_or_extract`], additionally reporting the
-    /// BFS work performed (0 on hits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        self.core
-            .get_or_extract_counted_as(g, node, depth, &self.consumer)
-    }
-
-    /// As [`SubgraphCache::get_or_extract_counted`], extracting through
-    /// `scratch` on a miss so BFS bookkeeping buffers are reused.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        self.core
-            .get_or_extract_with_as(g, node, depth, scratch, &self.consumer)
-    }
-
-    /// Ball-representation lookup, as
-    /// [`ConcurrentSubgraphCache::get_ball_with_as`]: a compact resident
-    /// is served as-is instead of being re-extracted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_ball_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        cold_buf: &mut Vec<u8>,
-    ) -> Result<(CachedBall, usize)> {
-        self.core
-            .get_ball_with_as(g, node, depth, scratch, cold_buf, &self.consumer)
-    }
-
-    /// Ball-representation probe, as
-    /// [`ConcurrentSubgraphCache::probe_ball_with_as`].
-    pub(crate) fn probe_ball_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        cold_buf: &mut Vec<u8>,
-    ) -> Result<(CachedBall, usize)> {
-        self.core
-            .probe_ball_with_as(g, node, depth, scratch, cold_buf, &self.consumer)
-    }
-
-    /// Admits an already-extracted ball (see
-    /// [`ConcurrentSubgraphCache::admit_extracted`]).
-    pub(crate) fn admit_extracted(&mut self, node: NodeId, depth: u32, sub: &Arc<Subgraph>) {
-        self.core
-            .admit_extracted(node, depth, sub, Some(&self.consumer));
-    }
-
-    /// Admits a cold-served compact ball (see
-    /// [`ConcurrentSubgraphCache::admit_cached`]).
-    pub(crate) fn admit_cached(&mut self, node: NodeId, depth: u32, ball: &CachedBall) {
-        self.core
-            .admit_cached(node, depth, ball, Some(&self.consumer));
-    }
-
-    /// Pre-extracts the ball around `(node, depth)` into the cache
-    /// **without counting a lookup**: neither the hit/miss counters nor
-    /// the sliding window move, so warming never deflates the observed
-    /// hit rate that routing reads. Already-resident keys are left
-    /// untouched (their recency is not bumped — warming is not demand).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction.
-    pub fn warm<G: GraphView + ?Sized>(&mut self, g: &G, node: NodeId, depth: u32) -> Result<()> {
-        self.core.warm(g, node, depth)
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.consumer.stats().hits as usize
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> usize {
-        self.consumer.stats().misses as usize
-    }
-
-    /// Hit fraction of the last `window` lookups (exact over the sliding
-    /// window configured at construction; 0.0 before any lookup).
-    /// Warm-ups ([`SubgraphCache::warm`]) are not lookups and do not
-    /// appear here.
-    pub fn recent_hit_rate(&self) -> f64 {
-        self.consumer.windowed_hit_rate()
-    }
-
-    /// This cache's cumulative per-consumer counters (including the
-    /// cold-tier breakdown), as [`CacheConsumer::stats`].
-    pub fn consumer_stats(&self) -> ConsumerStats {
-        self.consumer.stats()
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> CacheBudget {
-        self.core.budget()
-    }
-
-    /// Resident entries.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
-    }
-
-    /// Resident bytes (the exact global counter: sum of each resident
-    /// ball's measured footprint).
-    pub fn resident_bytes(&self) -> usize {
-        self.core.resident_bytes()
-    }
-
-    /// Drops every entry (statistics are kept).
-    pub fn clear(&mut self) {
-        self.core.clear();
     }
 }
 
@@ -718,8 +446,8 @@ const EWMA_UNSET: u64 = u64::MAX;
 /// One consumer's identity on a shared [`ConcurrentSubgraphCache`]:
 /// attribution counters plus recency-weighted hit rates.
 ///
-/// Create one per logical consumer (per backend, per executor, per
-/// warming job) and pass it to the `*_as` lookup methods; the cache
+/// Create one per logical consumer (per backend, per executor) and pass
+/// it to [`ConcurrentSubgraphCache::get_ball_with_as`]; the cache
 /// updates the consumer's counters alongside its own global ones. All
 /// state is atomic, so one consumer handle may be shared by the worker
 /// threads serving that consumer (e.g. every worker of one batch
@@ -743,14 +471,16 @@ const EWMA_UNSET: u64 = u64::MAX;
 ///
 /// ```
 /// use meloppr_core::cache::{CacheConsumer, ConcurrentSubgraphCache};
-/// use meloppr_graph::generators;
+/// use meloppr_graph::{generators, ExtractScratch};
 ///
 /// # fn main() -> Result<(), meloppr_core::PprError> {
 /// let g = generators::karate_club();
 /// let cache = ConcurrentSubgraphCache::new(16);
 /// let consumer = CacheConsumer::new(64);
-/// cache.get_or_extract_counted_as(&g, 0, 2, &consumer)?;
-/// cache.get_or_extract_counted_as(&g, 0, 2, &consumer)?;
+/// let (mut scratch, mut cold_buf) = (ExtractScratch::new(), Vec::new());
+/// for _ in 0..2 {
+///     cache.get_ball_with_as(&g, 0, 2, &mut scratch, &mut cold_buf, &consumer)?;
+/// }
 /// assert_eq!(consumer.stats().hits, 1);
 /// assert_eq!(consumer.stats().misses, 1);
 /// assert!((consumer.windowed_hit_rate() - 0.5).abs() < 1e-12);
@@ -1160,29 +890,6 @@ struct Shard {
     map: RwLock<FastHashMap<CacheKey, Arc<Entry>>>,
 }
 
-/// Adapts a lookup result to the legacy full-ball contract: a compact
-/// hit (only reachable when [`BallStore::Compact`] was opted into) is
-/// served by a fresh extraction — the compact resident keeps its slot,
-/// and the hit was already counted. Re-extracting (rather than
-/// [`CompactBall::to_subgraph`]) keeps the legacy getters' "BFS path by
-/// contract" promise and their work accounting intact.
-fn inflate_full<G: GraphView + ?Sized>(
-    g: &G,
-    node: NodeId,
-    depth: u32,
-    ball: CachedBall,
-    work: usize,
-) -> Result<(Arc<Subgraph>, usize)> {
-    match ball {
-        CachedBall::Full(sub) => Ok((sub, work)),
-        CachedBall::Compact(_) => {
-            let b = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &b)?;
-            Ok((Arc::new(sub), b.edges_scanned))
-        }
-    }
-}
-
 /// What a lookup's extraction closure produced on a RAM miss: a ball
 /// decoded from the cold tier (one positioned read, no BFS), or a live
 /// BFS extraction.
@@ -1200,8 +907,8 @@ enum ExtractedBall {
     },
 }
 
-/// The cold-capable extraction body shared by the ball-representation
-/// lookups: try one positioned index read first, fall back to live BFS
+/// The cold-capable extraction body shared by the demand lookup and the
+/// budget probe: try one positioned index read first, fall back to live BFS
 /// when the index lacks the ball or the read/decode fails — the cold
 /// tier is an accelerator, never a correctness dependency.
 fn read_cold_or_extract<G: GraphView + ?Sized>(
@@ -1297,7 +1004,7 @@ enum LookupMode {
     /// memory-budget gate probes shrinking ball depths this way so
     /// over-budget balls it will not execute never displace residents;
     /// the depth it settles on is admitted explicitly via
-    /// [`ConcurrentSubgraphCache::admit_extracted`].
+    /// [`ConcurrentSubgraphCache::admit`].
     Probe,
 }
 
@@ -1307,20 +1014,23 @@ enum LookupMode {
 /// All methods take `&self`; the cache is meant to live in an
 /// [`Arc`] shared by every worker serving a graph. Hot balls are
 /// extracted **once** (singleflight); hits and shares return the same
-/// `Arc<Subgraph>` with zero BFS work.
+/// resident `Arc` with zero BFS work.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use meloppr_core::cache::ConcurrentSubgraphCache;
-/// use meloppr_graph::generators;
+/// use meloppr_core::cache::{CacheConsumer, CachedBall, ConcurrentSubgraphCache};
+/// use meloppr_graph::{generators, ExtractScratch};
 ///
 /// # fn main() -> Result<(), meloppr_core::PprError> {
 /// let g = generators::karate_club();
 /// let cache = Arc::new(ConcurrentSubgraphCache::new(64));
-/// let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2)?;
-/// let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2)?;
+/// let consumer = CacheConsumer::default();
+/// let (mut scratch, mut cold_buf) = (ExtractScratch::new(), Vec::new());
+/// let mut lookup = || cache.get_ball_with_as(&g, 0, 2, &mut scratch, &mut cold_buf, &consumer);
+/// let (CachedBall::Full(a), work_a) = lookup()? else { unreachable!() };
+/// let (CachedBall::Full(b), work_b) = lookup()? else { unreachable!() };
 /// assert!(Arc::ptr_eq(&a, &b)); // zero-copy reuse
 /// assert!(work_a > 0);
 /// assert_eq!(work_b, 0); // hits charge no BFS
@@ -1333,8 +1043,8 @@ pub struct ConcurrentSubgraphCache {
     budget: CacheBudget,
     admission: AdmissionPolicy,
     store: BallStore,
-    /// Optional cold tier: a persisted ball index consulted by the
-    /// ball-representation lookups on a RAM miss before falling back to
+    /// Optional cold tier: a persisted ball index consulted by demand
+    /// lookups and budget probes on a RAM miss before falling back to
     /// live BFS.
     cold: Option<Arc<BallIndex>>,
     /// Counting sketch of key sightings for the frequency-aware
@@ -1503,11 +1213,10 @@ impl ConcurrentSubgraphCache {
     /// under the default `Full` store so disk-served answers stay
     /// bit-identical to BFS-served ones) and admitted through the normal
     /// [`AdmissionPolicy`]/[`CacheBudget`] gates; live BFS remains the
-    /// fallback when the index lacks the ball or the read fails. Only the
-    /// ball-representation lookups
-    /// ([`ConcurrentSubgraphCache::get_ball_with_as`] and the budget
-    /// probes) consult the cold tier — the legacy full-[`Subgraph`]
-    /// getters are BFS paths by contract.
+    /// fallback when the index lacks the ball or the read fails. Demand
+    /// lookups ([`ConcurrentSubgraphCache::get_ball_with_as`]) and the
+    /// budget probes consult the cold tier; warm-up
+    /// ([`ConcurrentSubgraphCache::warm`]) always extracts with live BFS.
     #[must_use]
     pub fn with_cold_tier(mut self, index: Arc<BallIndex>) -> Self {
         self.cold = Some(index);
@@ -1697,149 +1406,19 @@ impl ConcurrentSubgraphCache {
         &self.shards[(mixed >> 40) as usize % self.shards.len()]
     }
 
-    /// Returns the cached ball around `(node, depth)`, extracting it
-    /// exactly once across all concurrent callers on a miss. The lookup
-    /// is **unattributed** — it moves only the global counters. Serving
-    /// paths should identify themselves via
-    /// [`ConcurrentSubgraphCache::get_or_extract_counted_as`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<Arc<Subgraph>> {
-        Ok(self.get_or_extract_counted(g, node, depth)?.0)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract`], additionally
-    /// reporting the BFS work performed by **this call** — 0 on hits and
-    /// on singleflight shares (the winner alone is charged the scan).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(g, node, depth, None, LookupMode::Demand, |g, _| {
-            let ball = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &ball)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work: ball.edges_scanned,
-                fallback: false,
-            })
-        })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract_counted`], attributing
-    /// the lookup to `consumer`: its hit/shared/miss/extraction counters
+    /// The serving-path demand lookup: returns the ball around
+    /// `(node, depth)` in **whichever representation the [`BallStore`]
+    /// keeps** (a compact resident is served as-is; the quantized
+    /// diffusion kernel consumes either form directly), together with
+    /// the BFS work performed by **this call** — 0 on hits, on
+    /// singleflight shares (the winner alone is charged the scan) and on
+    /// cold-tier reads. A miss is extracted exactly once across all
+    /// concurrent callers, through `scratch` so the BFS visited map,
+    /// queue and ball arrays are reused across misses. The lookup is
+    /// attributed to `consumer`: its hit/shared/miss/extraction counters
     /// and its windowed hit rates move alongside the global counters, so
     /// several consumers sharing this cache each observe exactly their
     /// own traffic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(
-            g,
-            node,
-            depth,
-            Some(consumer),
-            LookupMode::Demand,
-            |g, _| {
-                let ball = bfs_ball(g, node, depth)?;
-                let sub = Subgraph::extract(g, &ball)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work: ball.edges_scanned,
-                    fallback: false,
-                })
-            },
-        )?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract_counted`], extracting
-    /// through `scratch` on a miss so the BFS visited map, queue and ball
-    /// arrays are reused across misses. Unattributed; serving paths use
-    /// [`ConcurrentSubgraphCache::get_or_extract_with_as`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(g, node, depth, None, LookupMode::Demand, |g, _| {
-            let (sub, work) = scratch.extract_owned(g, node, depth)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work,
-                fallback: false,
-            })
-        })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// The serving-path lookup: extraction through the workspace
-    /// `scratch`, attribution to `consumer` (the query-workspace
-    /// integration used by the staged engine's shared-cache mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(
-            g,
-            node,
-            depth,
-            Some(consumer),
-            LookupMode::Demand,
-            |g, _| {
-                let (sub, work) = scratch.extract_owned(g, node, depth)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work,
-                    fallback: false,
-                })
-            },
-        )?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// The precision ladder's serving-path lookup: as
-    /// [`ConcurrentSubgraphCache::get_or_extract_with_as`], but returns
-    /// the resident in **whichever representation the [`BallStore`]
-    /// keeps** — a compact hit is served as-is instead of being
-    /// re-extracted, which is the whole point of compact residents (the
-    /// quantized diffusion kernel consumes either form directly).
     ///
     /// This is a cold-tier-aware lookup: with a
     /// [`ConcurrentSubgraphCache::with_cold_tier`] index attached, a RAM
@@ -1869,13 +1448,16 @@ impl ConcurrentSubgraphCache {
         )
     }
 
-    /// Ball-representation form of
-    /// [`ConcurrentSubgraphCache::probe_or_extract_with_as`]: counted
-    /// like demand, never admits, serves a compact resident as-is on a
-    /// hit. Cold-tier-aware like
-    /// [`ConcurrentSubgraphCache::get_ball_with_as`] — a probe served
-    /// from the index costs a read, not a BFS, and the depth the budget
-    /// gate settles on is admitted explicitly afterwards.
+    /// As [`ConcurrentSubgraphCache::get_ball_with_as`], but an extracted
+    /// ball is **never admitted**: it is served to the caller (and any
+    /// singleflight waiters), counted like a demand lookup, and then
+    /// forgotten. The staged engine's memory-budget gate uses this to
+    /// probe shrinking ball depths — a depth it decides *not* to execute
+    /// must not displace residents or charge the byte budget; the depth
+    /// it settles on is admitted explicitly via
+    /// [`ConcurrentSubgraphCache::admit`]. Resident keys still hit for
+    /// free, and a probe served from the cold tier costs a read, not a
+    /// BFS.
     pub(crate) fn probe_ball_with_as<G: GraphView + ?Sized>(
         &self,
         g: &G,
@@ -1895,86 +1477,28 @@ impl ConcurrentSubgraphCache {
         )
     }
 
-    /// As [`ConcurrentSubgraphCache::get_or_extract_with_as`], but an
-    /// extracted ball is **never admitted**: it is served to the caller
-    /// (and any singleflight waiters), counted like a demand lookup, and
-    /// then forgotten. The staged engine's memory-budget gate uses this
-    /// to probe shrinking ball depths — a depth it decides *not* to
-    /// execute must not displace residents or charge the byte budget;
-    /// the depth it settles on is admitted explicitly via
-    /// [`ConcurrentSubgraphCache::admit_extracted`]. Resident keys still
-    /// hit for free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    #[cfg(test)]
-    pub(crate) fn probe_or_extract_with_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) =
-            self.lookup(g, node, depth, Some(consumer), LookupMode::Probe, |g, _| {
-                let (sub, work) = scratch.extract_owned(g, node, depth)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work,
-                    fallback: false,
-                })
-            })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// Makes an already-extracted ball resident (if the policy and
-    /// budget admit it): the admission half of a
-    /// [`probe_or_extract_with_as`](ConcurrentSubgraphCache::probe_or_extract_with_as)
-    /// that settled on this depth. No hit/miss is counted and no BFS
-    /// runs, but this **is** the executed ball's one demand sighting:
-    /// the frequency sketch is bumped here (probes never touch it), and
-    /// the full [`AdmissionPolicy`] applies — size gates, the
-    /// frequency gate's second-sighting rule and the TinyLFU
-    /// victim comparison behave exactly as they would for an unbudgeted
-    /// demand miss, so a memory budget never weakens admission control.
+    /// Makes a probed ball resident (if the policy and budget admit it):
+    /// the admission half of a
+    /// [`probe_ball_with_as`](ConcurrentSubgraphCache::probe_ball_with_as)
+    /// that settled on this depth. A [`CachedBall::Full`] ball is stored
+    /// per the configured [`BallStore`] (compacted under
+    /// [`BallStore::Compact`]); a [`CachedBall::Compact`] ball — served
+    /// from the cold tier — is stored as it is. No hit/miss is counted
+    /// and no BFS runs, but this **is** the executed ball's one demand
+    /// sighting: the frequency sketch is bumped here (probes never touch
+    /// it), and the full [`AdmissionPolicy`] applies — size gates, the
+    /// frequency gate's second-sighting rule and the TinyLFU victim
+    /// comparison behave exactly as they would for an unbudgeted demand
+    /// miss, so a memory budget never weakens admission control.
     /// Policy/budget refusals count as `rejected_admissions` (globally
     /// and for `consumer`). A no-op when the key is already resident or
     /// in flight.
-    pub(crate) fn admit_extracted(
-        &self,
-        node: NodeId,
-        depth: u32,
-        sub: &Arc<Subgraph>,
-        consumer: Option<&CacheConsumer>,
-    ) {
-        let stored = self.store_ball(sub);
-        self.admit_stored(node, depth, stored, sub.num_nodes(), consumer);
-    }
-
-    /// As [`ConcurrentSubgraphCache::admit_extracted`] for a ball already
-    /// in a resident representation: the admission half of a budgeted
-    /// probe that was served **from the cold tier** (a decoded
-    /// [`CachedBall::Compact`] has no full [`Subgraph`] to re-compact).
-    /// Same sighting/policy/budget semantics.
-    pub(crate) fn admit_cached(
+    pub(crate) fn admit(
         &self,
         node: NodeId,
         depth: u32,
         ball: &CachedBall,
-        consumer: Option<&CacheConsumer>,
-    ) {
-        self.admit_stored(node, depth, ball.clone(), ball.num_nodes(), consumer);
-    }
-
-    fn admit_stored(
-        &self,
-        node: NodeId,
-        depth: u32,
-        stored: CachedBall,
-        nodes: usize,
-        consumer: Option<&CacheConsumer>,
+        consumer: &CacheConsumer,
     ) {
         let key = (node, depth);
         {
@@ -1984,6 +1508,10 @@ impl ConcurrentSubgraphCache {
                 return;
             }
         }
+        let stored = match ball {
+            CachedBall::Full(sub) => self.store_ball(sub),
+            CachedBall::Compact(_) => ball.clone(),
+        };
         let (seen_before, candidate_freq) = if !self.admission.needs_seen_tracking() {
             (true, u32::MAX)
         } else {
@@ -1991,13 +1519,11 @@ impl ConcurrentSubgraphCache {
             (count > 1, count)
         };
         let bytes = stored.memory_bytes_total();
-        let admitted = self.admission.size_gate(nodes, seen_before)
+        let admitted = self.admission.size_gate(ball.num_nodes(), seen_before)
             && self.reserve_residency(key, bytes, candidate_freq);
         if !admitted {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = consumer {
-                c.rejected.fetch_add(1, Ordering::Relaxed);
-            }
+            consumer.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -2023,12 +1549,13 @@ impl ConcurrentSubgraphCache {
         map.insert(key, entry);
     }
 
-    /// Pre-extracts the ball around `(node, depth)` **without counting a
-    /// lookup**: no hit, no miss, no consumer attribution — only the
-    /// physical `extractions` counter ticks when a BFS actually runs.
-    /// Warm-up therefore never deflates any observed hit rate (the bug
-    /// this method exists to fix: routing decisions fed by a rate that
-    /// warming had permanently dragged down).
+    /// Pre-extracts the ball around `(node, depth)` through `scratch`
+    /// **without counting a lookup**: no hit, no miss, no consumer
+    /// attribution — only the physical `extractions` counter ticks when
+    /// a BFS actually runs. Warm-up therefore never deflates any
+    /// observed hit rate (the bug this method exists to fix: routing
+    /// decisions fed by a rate that warming had permanently dragged
+    /// down).
     ///
     /// Warming respects a size budget in the [`AdmissionPolicy`] but
     /// bypasses the frequency gate — an explicit warm *is* the admission
@@ -2037,25 +1564,7 @@ impl ConcurrentSubgraphCache {
     /// # Errors
     ///
     /// Propagates graph errors from extraction.
-    pub fn warm<G: GraphView + ?Sized>(&self, g: &G, node: NodeId, depth: u32) -> Result<()> {
-        self.lookup(g, node, depth, None, LookupMode::Warming, |g, _| {
-            let ball = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &ball)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work: ball.edges_scanned,
-                fallback: false,
-            })
-        })
-        .map(|_| ())
-    }
-
-    /// As [`ConcurrentSubgraphCache::warm`], extracting through `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction.
-    pub fn warm_with<G: GraphView + ?Sized>(
+    pub fn warm<G: GraphView + ?Sized>(
         &self,
         g: &G,
         node: NodeId,
@@ -2645,24 +2154,65 @@ mod tests {
     use super::*;
     use meloppr_graph::generators;
 
+    /// A demand lookup through the serving entry point, extracting
+    /// through `scratch` and unwrapping the full ball (every cache in
+    /// these tests keeps the default [`BallStore::Full`] store).
+    pub(super) fn get_with_as<G: GraphView + ?Sized>(
+        cache: &ConcurrentSubgraphCache,
+        g: &G,
+        node: NodeId,
+        depth: u32,
+        scratch: &mut ExtractScratch,
+        consumer: &CacheConsumer,
+    ) -> Result<(Arc<Subgraph>, usize)> {
+        match cache.get_ball_with_as(g, node, depth, scratch, &mut Vec::new(), consumer)? {
+            (CachedBall::Full(sub), work) => Ok((sub, work)),
+            (CachedBall::Compact(_), _) => panic!("a full ball store serves full balls"),
+        }
+    }
+
+    /// As [`get_with_as`] with a fresh scratch.
+    pub(super) fn get_as<G: GraphView + ?Sized>(
+        cache: &ConcurrentSubgraphCache,
+        g: &G,
+        node: NodeId,
+        depth: u32,
+        consumer: &CacheConsumer,
+    ) -> Result<(Arc<Subgraph>, usize)> {
+        get_with_as(cache, g, node, depth, &mut ExtractScratch::new(), consumer)
+    }
+
+    /// An unattributed lookup: a throwaway consumer, so only the global
+    /// counters are observable.
+    pub(super) fn get<G: GraphView + ?Sized>(
+        cache: &ConcurrentSubgraphCache,
+        g: &G,
+        node: NodeId,
+        depth: u32,
+    ) -> Result<(Arc<Subgraph>, usize)> {
+        get_as(cache, g, node, depth, &CacheConsumer::default())
+    }
+
     #[test]
     fn hit_returns_shared_arc() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(4);
-        let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
-        let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::with_shards(4, 1);
+        let consumer = CacheConsumer::default();
+        let (a, work_a) = get_as(&cache, &g, 0, 2, &consumer).unwrap();
+        let (b, work_b) = get_as(&cache, &g, 0, 2, &consumer).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let stats = consumer.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn different_depths_are_distinct_entries() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(4);
-        let a = cache.get_or_extract(&g, 0, 1).unwrap();
-        let b = cache.get_or_extract(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::with_shards(4, 1);
+        let (a, _) = get(&cache, &g, 0, 1).unwrap();
+        let (b, _) = get(&cache, &g, 0, 2).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
     }
@@ -2670,18 +2220,19 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_recent() {
         let g = generators::path(32).unwrap();
-        let mut cache = SubgraphCache::new(2);
-        cache.get_or_extract(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 1, 1).unwrap();
+        let cache = ConcurrentSubgraphCache::with_shards(2, 1);
+        let consumer = CacheConsumer::default();
+        get_as(&cache, &g, 0, 1, &consumer).unwrap();
+        get_as(&cache, &g, 1, 1, &consumer).unwrap();
         // Touch node 0 so node 1 becomes the LRU victim.
-        cache.get_or_extract(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 2, 1).unwrap(); // evicts (1, 1)
+        get_as(&cache, &g, 0, 1, &consumer).unwrap();
+        get_as(&cache, &g, 2, 1, &consumer).unwrap(); // evicts (1, 1)
         assert_eq!(cache.len(), 2);
-        let before = cache.misses();
-        cache.get_or_extract(&g, 0, 1).unwrap(); // still cached
-        assert_eq!(cache.misses(), before);
-        cache.get_or_extract(&g, 1, 1).unwrap(); // was evicted
-        assert_eq!(cache.misses(), before + 1);
+        let before = consumer.stats().misses;
+        get_as(&cache, &g, 0, 1, &consumer).unwrap(); // still cached
+        assert_eq!(consumer.stats().misses, before);
+        get_as(&cache, &g, 1, 1, &consumer).unwrap(); // was evicted
+        assert_eq!(consumer.stats().misses, before + 1);
     }
 
     #[test]
@@ -2704,39 +2255,41 @@ mod tests {
     #[test]
     fn resident_bytes_and_clear() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(8);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::with_shards(8, 1);
+        let consumer = CacheConsumer::default();
+        get_as(&cache, &g, 0, 2, &consumer).unwrap();
         assert!(cache.resident_bytes() > 0);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 1); // stats survive clear
+        assert_eq!(consumer.stats().misses, 1); // stats survive clear
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = SubgraphCache::new(0);
+        let _ = ConcurrentSubgraphCache::with_shards(0, 1);
     }
 
     #[test]
     fn errors_propagate() {
         let g = generators::path(3).unwrap();
-        let mut cache = SubgraphCache::new(2);
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
+        let cache = ConcurrentSubgraphCache::with_shards(2, 1);
+        assert!(get(&cache, &g, 99, 1).is_err());
     }
 }
 
 #[cfg(test)]
 mod concurrent_tests {
+    use super::tests::{get, get_as, get_with_as};
     use super::*;
-    use meloppr_graph::generators;
+    use meloppr_graph::{bfs_ball, generators};
 
     #[test]
     fn concurrent_hits_share_one_extraction() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(16);
-        let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
-        let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (a, work_a) = get(&cache, &g, 0, 2).unwrap();
+        let (b, work_b) = get(&cache, &g, 0, 2).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
@@ -2751,7 +2304,7 @@ mod concurrent_tests {
         let g = generators::grid(7, 5).unwrap();
         let cache = ConcurrentSubgraphCache::new(8);
         for (seed, depth) in [(0u32, 2), (17, 3), (34, 1), (5, 0)] {
-            let cached = cache.get_or_extract(&g, seed, depth).unwrap();
+            let (cached, _) = get(&cache, &g, seed, depth).unwrap();
             let ball = meloppr_graph::bfs_ball(&g, seed, depth).unwrap();
             let fresh = Subgraph::extract(&g, &ball).unwrap();
             assert_eq!(cached.global_ids(), fresh.global_ids());
@@ -2770,10 +2323,16 @@ mod concurrent_tests {
         let scratched = ConcurrentSubgraphCache::new(8);
         let mut scratch = ExtractScratch::new();
         for (seed, depth) in [(14u32, 2), (0, 1), (35, 3)] {
-            let (a, wa) = plain.get_or_extract_counted(&g, seed, depth).unwrap();
-            let (b, wb) = scratched
-                .get_or_extract_with(&g, seed, depth, &mut scratch)
-                .unwrap();
+            let (a, wa) = get(&plain, &g, seed, depth).unwrap();
+            let (b, wb) = get_with_as(
+                &scratched,
+                &g,
+                seed,
+                depth,
+                &mut scratch,
+                &CacheConsumer::default(),
+            )
+            .unwrap();
             assert_eq!(wa, wb);
             assert_eq!(a.global_ids(), b.global_ids());
             assert_eq!(a.num_edges(), b.num_edges());
@@ -2787,14 +2346,14 @@ mod concurrent_tests {
         // One shard so the capacity bound is exact.
         let cache = ConcurrentSubgraphCache::with_shards(4, 1);
         for seed in 0..8u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            get(&cache, &g, seed, 1).unwrap();
         }
         assert!(cache.len() <= 4);
         let stats = cache.stats();
         assert_eq!(stats.extractions, 8);
         assert_eq!(stats.evictions, 4);
         // The most recent entry survived.
-        cache.get_or_extract(&g, 7, 1).unwrap();
+        get(&cache, &g, 7, 1).unwrap();
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -2802,12 +2361,12 @@ mod concurrent_tests {
     fn errors_propagate_and_leave_no_residue() {
         let g = generators::path(3).unwrap();
         let cache = ConcurrentSubgraphCache::new(4);
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
+        assert!(get(&cache, &g, 99, 1).is_err());
         assert!(cache.is_empty());
         // The failed key is re-attempted (and fails again) rather than
         // poisoning the cache.
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
-        let ok = cache.get_or_extract(&g, 1, 1);
+        assert!(get(&cache, &g, 99, 1).is_err());
+        let ok = get(&cache, &g, 1, 1);
         assert!(ok.is_ok());
     }
 
@@ -2815,12 +2374,12 @@ mod concurrent_tests {
     fn clear_keeps_stats_and_stays_usable() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(8);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        get(&cache, &g, 0, 2).unwrap();
         assert!(cache.resident_bytes() > 0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().extractions, 1);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        get(&cache, &g, 0, 2).unwrap();
         assert_eq!(cache.stats().extractions, 2);
     }
 
@@ -2848,17 +2407,17 @@ mod concurrent_tests {
         let b = CacheConsumer::new(16);
         // Consumer A: 4 distinct misses + 4 repeat hits.
         for seed in 0..4u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &a).unwrap();
+            get_as(&cache, &g, seed, 1, &a).unwrap();
         }
         for seed in 0..4u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &a).unwrap();
+            get_as(&cache, &g, seed, 1, &a).unwrap();
         }
         // Consumer B: 2 hits on A's entries + 2 fresh misses.
         for seed in 0..2u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &b).unwrap();
+            get_as(&cache, &g, seed, 1, &b).unwrap();
         }
         for seed in 10..12u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &b).unwrap();
+            get_as(&cache, &g, seed, 1, &b).unwrap();
         }
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!((sa.hits, sa.misses, sa.extractions), (4, 4, 4));
@@ -2876,13 +2435,9 @@ mod concurrent_tests {
         let consumer = CacheConsumer::new(16);
         // Warm phase: one hot key looked up far beyond the window, so the
         // cumulative rate climbs towards 1.
-        cache
-            .get_or_extract_counted_as(&g, 0, 1, &consumer)
-            .unwrap();
+        get_as(&cache, &g, 0, 1, &consumer).unwrap();
         for _ in 0..63 {
-            cache
-                .get_or_extract_counted_as(&g, 0, 1, &consumer)
-                .unwrap();
+            get_as(&cache, &g, 0, 1, &consumer).unwrap();
         }
         let stale_cumulative = consumer.stats().hit_rate();
         assert!(stale_cumulative > 0.9);
@@ -2891,9 +2446,7 @@ mod concurrent_tests {
         // window must converge to the new all-miss regime within one
         // window while the cumulative rate stays stale.
         for seed in 100..116u32 {
-            cache
-                .get_or_extract_counted_as(&g, seed, 1, &consumer)
-                .unwrap();
+            get_as(&cache, &g, seed, 1, &consumer).unwrap();
         }
         assert_eq!(consumer.windowed_hit_rate(), 0.0);
         assert!(consumer.stats().hit_rate() > 0.7, "cumulative stays stale");
@@ -2973,16 +2526,14 @@ mod concurrent_tests {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(16);
         let consumer = CacheConsumer::new(8);
-        cache.warm(&g, 0, 2).unwrap();
-        cache.warm(&g, 0, 2).unwrap(); // idempotent, no second extraction
+        cache.warm(&g, 0, 2, &mut ExtractScratch::new()).unwrap();
+        cache.warm(&g, 0, 2, &mut ExtractScratch::new()).unwrap(); // idempotent, no second extraction
         let warmed = cache.stats();
         assert_eq!(warmed.extractions, 1);
         assert_eq!(warmed.lookups(), 0);
         // The first demand lookup is a hit — warming did its job without
         // polluting the hit rate.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 0, 2, &consumer)
-            .unwrap();
+        let (_, work) = get_as(&cache, &g, 0, 2, &consumer).unwrap();
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         assert_eq!(consumer.stats().misses, 0);
@@ -2993,15 +2544,15 @@ mod concurrent_tests {
     fn warm_does_not_refresh_recency_of_resident_entries() {
         let g = generators::path(32).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(2, 1);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // A (oldest demand)
-        cache.get_or_extract(&g, 1, 1).unwrap(); // B
-                                                 // Re-warming A is not demand: it must NOT refresh A's recency.
-        cache.warm(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 2, 1).unwrap(); // evicts A, not B
+        get(&cache, &g, 0, 1).unwrap(); // A (oldest demand)
+        get(&cache, &g, 1, 1).unwrap(); // B
+                                        // Re-warming A is not demand: it must NOT refresh A's recency.
+        cache.warm(&g, 0, 1, &mut ExtractScratch::new()).unwrap();
+        get(&cache, &g, 2, 1).unwrap(); // evicts A, not B
         let before = cache.stats().misses;
-        cache.get_or_extract(&g, 1, 1).unwrap(); // B survived
+        get(&cache, &g, 1, 1).unwrap(); // B survived
         assert_eq!(cache.stats().misses, before);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // A was the victim
+        get(&cache, &g, 0, 1).unwrap(); // A was the victim
         assert_eq!(cache.stats().misses, before + 1);
     }
 
@@ -3013,13 +2564,9 @@ mod concurrent_tests {
             ConcurrentSubgraphCache::with_shards(8, 1).with_admission(AdmissionPolicy::MaxNodes(4));
         assert_eq!(cache.admission(), AdmissionPolicy::MaxNodes(4));
         let consumer = CacheConsumer::new(8);
-        let small = cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        let small = get_as(&cache, &g, 0, 0, &consumer).unwrap();
         assert_eq!(small.0.num_nodes(), 1);
-        let big = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let big = get_as(&cache, &g, 27, 3, &consumer).unwrap();
         assert!(big.0.num_nodes() > 4, "grid ball should exceed the budget");
         assert!(big.1 > 0, "rejected balls are still served (and paid for)");
         // Only the small ball is resident; the big one was rejected.
@@ -3028,12 +2575,8 @@ mod concurrent_tests {
         assert_eq!(consumer.stats().rejected_admissions, 1);
         // The big ball misses again; the small one still hits (the
         // rejected ball evicted nothing).
-        cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
-        cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        get_as(&cache, &g, 27, 3, &consumer).unwrap();
+        get_as(&cache, &g, 0, 0, &consumer).unwrap();
         let stats = consumer.stats();
         assert_eq!(stats.misses, 3); // small, big, big-again
         assert_eq!(stats.hits, 1); // small-again
@@ -3047,27 +2590,19 @@ mod concurrent_tests {
             .with_admission(AdmissionPolicy::FrequencyGated(4));
         let consumer = CacheConsumer::new(8);
         // First sighting of a big ball: extracted, served, rejected.
-        cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        get_as(&cache, &g, 27, 3, &consumer).unwrap();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().rejected_admissions, 1);
         // Second sighting: the key has proven demand, so it is admitted.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let (_, work) = get_as(&cache, &g, 27, 3, &consumer).unwrap();
         assert!(work > 0);
         assert_eq!(cache.len(), 1);
         // Third lookup is a hit.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let (_, work) = get_as(&cache, &g, 27, 3, &consumer).unwrap();
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         // Small balls are admitted immediately regardless of frequency.
-        cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        get_as(&cache, &g, 0, 0, &consumer).unwrap();
         assert_eq!(cache.len(), 2);
     }
 
@@ -3121,21 +2656,21 @@ mod concurrent_tests {
             .total();
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::bytes(2 * one), 1);
         assert_eq!(cache.budget(), CacheBudget::bytes(2 * one));
-        cache.get_or_extract(&g, 10, 1).unwrap();
-        cache.get_or_extract(&g, 20, 1).unwrap();
+        get(&cache, &g, 10, 1).unwrap();
+        get(&cache, &g, 20, 1).unwrap();
         assert_eq!(cache.resident_bytes(), 2 * one);
         assert_eq!(cache.stats().evictions, 0);
         // The third ball fits only after evicting the LRU first.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        get(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.resident_bytes(), 2 * one);
         assert_eq!(cache.resident_bytes_exact(), 2 * one);
         assert_eq!(cache.stats().evictions, 1);
         // Key 10 was the victim; 20 and 30 still hit.
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 20, 1).unwrap();
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        get(&cache, &g, 20, 1).unwrap();
+        get(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().misses, misses);
-        cache.get_or_extract(&g, 10, 1).unwrap();
+        get(&cache, &g, 10, 1).unwrap();
         assert_eq!(cache.stats().misses, misses + 1);
     }
 
@@ -3144,7 +2679,7 @@ mod concurrent_tests {
         let g = generators::grid(8, 8).unwrap();
         // Budget far below any depth-2 grid ball.
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::bytes(64), 1);
-        let (sub, work) = cache.get_or_extract_counted(&g, 27, 2).unwrap();
+        let (sub, work) = get(&cache, &g, 27, 2).unwrap();
         assert!(sub.num_nodes() > 1);
         assert!(work > 0, "rejected balls are still served");
         assert_eq!(cache.resident_bytes(), 0);
@@ -3166,7 +2701,7 @@ mod concurrent_tests {
             1,
         );
         for seed in [10u32, 20, 30, 40] {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            get(&cache, &g, seed, 1).unwrap();
         }
         assert_eq!(cache.resident_entries(), 2);
         assert_eq!(cache.resident_bytes(), 2 * one);
@@ -3179,27 +2714,27 @@ mod concurrent_tests {
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::entries(2), 1)
             .with_admission(AdmissionPolicy::FrequencyVsVictim);
         // While under budget, everything is admitted.
-        cache.get_or_extract(&g, 10, 1).unwrap(); // freq(10) = 1
-        cache.get_or_extract(&g, 20, 1).unwrap(); // freq(20) = 1
-        cache.get_or_extract(&g, 20, 1).unwrap(); // hit, freq unchanged
+        get(&cache, &g, 10, 1).unwrap(); // freq(10) = 1
+        get(&cache, &g, 20, 1).unwrap(); // freq(20) = 1
+        get(&cache, &g, 20, 1).unwrap(); // hit, freq unchanged
         assert_eq!(cache.len(), 2);
         // A cold candidate (freq 1) does not beat the LRU victim
         // (key 10, freq 1): rejected, nothing evicted.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        get(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().rejected_admissions, 1);
         assert_eq!(cache.stats().evictions, 0);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 10, 1).unwrap(); // still resident
+        get(&cache, &g, 10, 1).unwrap(); // still resident
         assert_eq!(cache.stats().misses, misses);
         // The second sighting of key 30 (sketch count 2) beats the LRU
         // victim (key 20 — demanded once; hits are not sketch
         // sightings, so its count stayed 1): admitted, 20 evicted.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        get(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        get(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().misses, misses, "admitted ball must hit");
     }
 
@@ -3223,15 +2758,15 @@ mod concurrent_tests {
         // (with a clear between, so both demands are misses), the cold
         // key once. Residents afterwards: cold (LRU, freq 1), hot
         // (freq 2); the byte budget is exactly full.
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot, freq 1
+        get(&cache, &g, 30, 1).unwrap(); // hot, freq 1
         cache.clear();
-        cache.get_or_extract(&g, 10, 1).unwrap(); // cold, freq 1
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot again, freq 2
+        get(&cache, &g, 10, 1).unwrap(); // cold, freq 1
+        get(&cache, &g, 30, 1).unwrap(); // hot again, freq 2
         assert_eq!(cache.resident_bytes(), 2 * small);
 
         // First sighting of the big candidate (freq 1): the LRU victim
         // (cold, freq 1) already ties it — rejected, nothing evicted.
-        cache.get_or_extract(&g, 50, 2).unwrap();
+        get(&cache, &g, 50, 2).unwrap();
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().rejected_admissions, 1);
         // Second sighting (freq 2): the victim PLAN is [cold, hot]; the
@@ -3240,25 +2775,30 @@ mod concurrent_tests {
         // eviction — the old incremental loop evicted the cold resident
         // first and then rejected, costing an admitted entry for
         // nothing.
-        cache.get_or_extract(&g, 50, 2).unwrap();
+        get(&cache, &g, 50, 2).unwrap();
         assert_eq!(cache.stats().evictions, 0, "rejection must evict nothing");
         assert_eq!(cache.resident_bytes(), 2 * small);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 10, 1).unwrap(); // cold resident intact
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot resident intact
+        get(&cache, &g, 10, 1).unwrap(); // cold resident intact
+        get(&cache, &g, 30, 1).unwrap(); // hot resident intact
         assert_eq!(cache.stats().misses, misses);
     }
 
     #[test]
-    fn budget_probe_serves_without_admitting_and_admit_extracted_publishes() {
+    fn budget_probe_serves_without_admitting_and_admit_publishes() {
         let g = generators::path(64).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(8, 1);
         let consumer = CacheConsumer::new(8);
         let mut scratch = ExtractScratch::new();
+        let mut probe = || match cache
+            .probe_ball_with_as(&g, 10, 2, &mut scratch, &mut Vec::new(), &consumer)
+            .unwrap()
+        {
+            (CachedBall::Full(sub), work) => (sub, work),
+            (CachedBall::Compact(_), _) => panic!("a full ball store serves full balls"),
+        };
         // A probe miss extracts and counts, but nothing becomes resident.
-        let (sub, work) = cache
-            .probe_or_extract_with_as(&g, 10, 2, &mut scratch, &consumer)
-            .unwrap();
+        let (sub, work) = probe();
         assert!(work > 0);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.resident_bytes(), 0);
@@ -3266,19 +2806,18 @@ mod concurrent_tests {
         assert_eq!(consumer.stats().extractions, 1);
         assert_eq!(cache.stats().rejected_admissions, 0, "not a rejection");
         // Explicit admission makes it resident without a lookup or BFS.
-        cache.admit_extracted(10, 2, &sub, Some(&consumer));
+        let ball = CachedBall::Full(Arc::clone(&sub));
+        cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.resident_bytes(), sub.memory_bytes().total());
         assert_eq!(cache.stats().extractions, 1);
         // The admitted ball now hits — for probes and demand alike.
-        let (again, work) = cache
-            .probe_or_extract_with_as(&g, 10, 2, &mut scratch, &consumer)
-            .unwrap();
+        let (again, work) = probe();
         assert!(Arc::ptr_eq(&sub, &again));
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         // Re-admitting is a no-op.
-        cache.admit_extracted(10, 2, &sub, Some(&consumer));
+        cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
     }
 
@@ -3290,7 +2829,7 @@ mod concurrent_tests {
         let g = generators::path(512).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(16, 8);
         for seed in 0..128u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            get(&cache, &g, seed, 1).unwrap();
         }
         assert_eq!(cache.resident_entries(), 16);
         assert!(cache.len() <= 16);
@@ -3301,30 +2840,31 @@ mod concurrent_tests {
     #[test]
     fn owned_cache_window_and_warm() {
         let g = generators::path(32).unwrap();
-        let mut cache = SubgraphCache::with_window(8, 4);
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.warm(&g, 0, 1).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        let cache = ConcurrentSubgraphCache::with_shards(8, 1);
+        let mut consumer = CacheConsumer::new(4);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        cache.warm(&g, 0, 1, &mut ExtractScratch::new()).unwrap();
+        assert_eq!((consumer.stats().hits, consumer.stats().misses), (0, 0));
         assert_eq!(cache.len(), 1);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // hit on the warmed ball
-        assert_eq!(cache.hits(), 1);
-        assert!((cache.recent_hit_rate() - 1.0).abs() < 1e-12);
+        get_as(&cache, &g, 0, 1, &consumer).unwrap(); // hit on the warmed ball
+        assert_eq!(consumer.stats().hits, 1);
+        assert!((consumer.windowed_hit_rate() - 1.0).abs() < 1e-12);
         // Four misses roll the hit out of the 4-lookup window.
         for seed in 10..14u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            get_as(&cache, &g, seed, 1, &consumer).unwrap();
         }
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.set_window(2);
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.get_or_extract(&g, 13, 1).unwrap();
-        assert!((cache.recent_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        consumer.resize_window(2);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        get_as(&cache, &g, 13, 1, &consumer).unwrap();
+        assert!((consumer.windowed_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn poisoned_shard_recovers_clear_and_continue() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(8);
-        let (first, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (first, work) = get(&cache, &g, 0, 2).unwrap();
         assert!(work > 0);
         // Poison the shard holding (0, 2) by panicking while its write
         // lock is held — the worst-case co-tenant failure.
@@ -3338,7 +2878,7 @@ mod concurrent_tests {
         // The next lookup recovers clear-and-continue: the shard's
         // residents were dropped (budget released), the lookup
         // re-extracts, and the recovery is counted.
-        let (second, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (second, work) = get(&cache, &g, 0, 2).unwrap();
         assert!(work > 0, "cleared shard must re-extract");
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(cache.poison_recoveries(), 1);
@@ -3346,7 +2886,7 @@ mod concurrent_tests {
         // Accounting stayed exact through the clear.
         assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
         // And the cache keeps serving: a re-hit shares the new resident.
-        let (third, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (third, work) = get(&cache, &g, 0, 2).unwrap();
         assert!(Arc::ptr_eq(&second, &third));
         assert_eq!(work, 0);
     }
@@ -3368,7 +2908,7 @@ mod concurrent_tests {
         }));
         assert!(unwound.is_err());
         // No deadlock and no stranded entry: the key extracts fresh.
-        let (ball, work) = cache.get_or_extract_counted(&g, 7, 2).unwrap();
+        let (ball, work) = get(&cache, &g, 7, 2).unwrap();
         assert!(work > 0);
         assert!(ball.num_nodes() > 0);
         assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
@@ -3378,7 +2918,9 @@ mod concurrent_tests {
 #[cfg(test)]
 mod engine_integration_tests {
     use super::*;
-    use crate::{MelopprEngine, MelopprParams, PprParams, SelectionStrategy};
+    use crate::meloppr::staged_query_impl;
+    use crate::{MelopprEngine, MelopprParams, PprParams, PrecisionClass, QueryWorkspace};
+    use crate::{MelopprOutcome, SelectionStrategy};
     use meloppr_graph::generators::corpus::PaperGraph;
 
     #[test]
@@ -3391,21 +2933,35 @@ mod engine_integration_tests {
             ..MelopprParams::paper_defaults()
         };
         let engine = MelopprEngine::new(&g, params).unwrap();
-        let mut cache = SubgraphCache::new(512);
+        // One shard keeps the strict-LRU semantics of a single-threaded
+        // cache.
+        let cache = ConcurrentSubgraphCache::with_shards(512, 1);
+        let consumer = CacheConsumer::default();
+        let cached_query = |seed: NodeId| -> Result<MelopprOutcome> {
+            staged_query_impl(
+                &g,
+                engine.params(),
+                seed,
+                PrecisionClass::Exact64,
+                Some((&cache, &consumer)),
+                None,
+                &mut QueryWorkspace::new(),
+            )
+        };
 
         let plain = engine.query(7).unwrap();
-        let first = engine.query_cached_impl(7, &mut cache).unwrap();
+        let first = cached_query(7).unwrap();
         assert_eq!(first.ranking, plain.ranking);
         assert_eq!(first.stats.bfs_edges_scanned, plain.stats.bfs_edges_scanned);
 
         // Second identical query: all sub-graphs served from cache.
-        let second = engine.query_cached_impl(7, &mut cache).unwrap();
+        let second = cached_query(7).unwrap();
         assert_eq!(second.ranking, plain.ranking);
         assert_eq!(second.stats.bfs_edges_scanned, 0);
-        assert!(cache.hits() >= plain.stats.total_diffusions);
+        assert!(consumer.stats().hits as usize >= plain.stats.total_diffusions);
 
         // A nearby query shares hub sub-graphs: strictly less BFS work.
-        let third = engine.query_cached_impl(8, &mut cache).unwrap();
+        let third = cached_query(8).unwrap();
         let fresh = engine.query(8).unwrap();
         assert_eq!(third.ranking, fresh.ranking);
         assert!(third.stats.bfs_edges_scanned <= fresh.stats.bfs_edges_scanned);

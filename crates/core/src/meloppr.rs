@@ -22,13 +22,13 @@
 
 use meloppr_graph::{bfs_ball, GraphView, NodeId, Subgraph};
 
-use crate::cache::CachedBall;
+use crate::cache::{CacheConsumer, CachedBall, ConcurrentSubgraphCache};
 use crate::diffusion::{DiffusionConfig, DiffusionScratch};
 use crate::error::Result;
 use crate::global_table::GlobalScoreTable;
 use crate::memory::{cpu_task_memory_width, meloppr_cpu_peak, meloppr_fpga_peak, CpuTaskMemory};
 use crate::params::{MelopprParams, ResidualPolicy};
-use crate::quantized::{diffuse_ball, BallRef, CompactBall, PrecisionClass, QuantScratchSet};
+use crate::quantized::{diffuse_ball, BallRef, PrecisionClass, QuantScratchSet};
 use crate::score_vec::Ranking;
 use crate::workspace::QueryWorkspace;
 
@@ -190,9 +190,8 @@ pub(crate) fn execute_task<G: GraphView + ?Sized>(
 }
 
 /// The diffusion/selection half of [`execute_task`], operating on an
-/// already-extracted sub-graph (possibly served from a
-/// [`SubgraphCache`](crate::cache::SubgraphCache), in which case
-/// `bfs_edges_scanned` should be 0 — the whole point of caching).
+/// already-extracted sub-graph that cost `bfs_edges_scanned` adjacency
+/// entries to extract.
 ///
 /// Allocating wrapper over [`execute_task_on_with`] for callers without a
 /// workspace (the parallel executor needs owned per-task outputs anyway).
@@ -647,28 +646,9 @@ impl<'g, G: GraphView + ?Sized> MelopprEngine<'g, G> {
             &self.params,
             seed,
             PrecisionClass::Exact64,
-            BallSource::Fresh,
+            None,
             None,
             ws,
-        )
-    }
-
-    /// Cached-extraction reference query, pinned against the backend's
-    /// cached mode by the cache integration tests.
-    #[cfg(test)]
-    pub(crate) fn query_cached_impl(
-        &self,
-        seed: NodeId,
-        cache: &mut crate::cache::SubgraphCache,
-    ) -> Result<MelopprOutcome> {
-        staged_query_impl(
-            self.graph,
-            &self.params,
-            seed,
-            PrecisionClass::Exact64,
-            BallSource::Owned(cache),
-            None,
-            &mut QueryWorkspace::new(),
         )
     }
 }
@@ -684,45 +664,21 @@ pub(crate) struct MemoryBudget {
     pub(crate) ball_depths: Vec<u32>,
 }
 
-/// Where the staged loop gets its sub-graph balls from — the one
-/// extraction seam shared by the fresh, owned-cache and shared-cache
-/// execution modes (one loop, one budget gate, three ball sources).
-pub(crate) enum BallSource<'c> {
-    /// Extract every ball fresh through the workspace scratch.
-    Fresh,
-    /// Serve balls from (and populate) an owned [`SubgraphCache`].
-    Owned(&'c mut crate::cache::SubgraphCache),
-    /// Serve balls from a [`ConcurrentSubgraphCache`] shared across
-    /// workers, attributing every lookup to `consumer`.
-    Shared {
-        cache: &'c crate::cache::ConcurrentSubgraphCache,
-        consumer: &'c crate::cache::CacheConsumer,
-    },
-}
-
-/// A ball handed to one task: borrowed from the extraction scratch
-/// (fresh mode) or shared zero-copy out of a cache — in either resident
-/// representation when the cache compacts
+/// A ball handed to one task: borrowed from the extraction scratch (no
+/// cache attached) or shared zero-copy out of a cache — in either
+/// resident representation when the cache compacts
 /// ([`BallStore::Compact`](crate::cache::BallStore)).
 enum Ball<'a> {
     Borrowed(&'a Subgraph),
-    Cached(std::sync::Arc<Subgraph>),
-    CachedCompact(std::sync::Arc<CompactBall>),
+    Cached(CachedBall),
 }
 
 impl Ball<'_> {
-    fn from_cached(ball: CachedBall) -> Self {
-        match ball {
-            CachedBall::Full(sub) => Ball::Cached(sub),
-            CachedBall::Compact(compact) => Ball::CachedCompact(compact),
-        }
-    }
-
     fn as_ref(&self) -> BallRef<'_> {
         match self {
             Ball::Borrowed(sub) => BallRef::Full(sub),
-            Ball::Cached(sub) => BallRef::Full(sub),
-            Ball::CachedCompact(ball) => BallRef::Compact(ball),
+            Ball::Cached(CachedBall::Full(sub)) => BallRef::Full(sub),
+            Ball::Cached(CachedBall::Compact(ball)) => BallRef::Compact(ball),
         }
     }
 
@@ -736,9 +692,11 @@ impl Ball<'_> {
 }
 
 /// The staged query loop over workspace-owned storage: the engine behind
-/// [`MelopprEngine::query_with`] and every execution mode of
-/// [`backend::Meloppr`](crate::backend::Meloppr) (the ball source is the
-/// only difference between fresh, owned-cache and shared-cache serving).
+/// [`MelopprEngine::query_with`] and the sequential execution of
+/// [`backend::Meloppr`](crate::backend::Meloppr). With `cache` set, every
+/// ball is served from that shared cache and the lookup attributed to
+/// its consumer; without it, every ball is extracted fresh through the
+/// workspace scratch.
 ///
 /// # Memory-budget enforcement
 ///
@@ -768,7 +726,7 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
     params: &MelopprParams,
     seed: NodeId,
     class: PrecisionClass,
-    mut source: BallSource<'_>,
+    cache: Option<(&ConcurrentSubgraphCache, &CacheConsumer)>,
     budget: Option<&MemoryBudget>,
     ws: &mut QueryWorkspace,
 ) -> Result<MelopprOutcome> {
@@ -829,20 +787,12 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                 // residents. The depth that actually executes is
                 // admitted explicitly below. Resident keys still hit for
                 // free either way.
-                let (sub, bfs_work): (Ball<'_>, usize) = match &mut source {
-                    BallSource::Fresh => {
+                let (sub, bfs_work): (Ball<'_>, usize) = match cache {
+                    None => {
                         let (sub, work) = extract.extract(graph, piece.node, depth)?;
                         (Ball::Borrowed(sub), work)
                     }
-                    BallSource::Owned(cache) => {
-                        let (ball, work) = if budgeted {
-                            cache.probe_ball_with(graph, piece.node, depth, extract, cold_buf)?
-                        } else {
-                            cache.get_ball_with(graph, piece.node, depth, extract, cold_buf)?
-                        };
-                        (Ball::from_cached(ball), work)
-                    }
-                    BallSource::Shared { cache, consumer } => {
+                    Some((cache, consumer)) => {
                         let (ball, work) = if budgeted {
                             cache.probe_ball_with_as(
                                 graph, piece.node, depth, extract, cold_buf, consumer,
@@ -852,7 +802,7 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                                 graph, piece.node, depth, extract, cold_buf, consumer,
                             )?
                         };
-                        (Ball::from_cached(ball), work)
+                        (Ball::Cached(ball), work)
                     }
                 };
                 if let Some(plan) = budget {
@@ -884,31 +834,9 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                         floored = true;
                     }
                 }
-                if budgeted {
-                    match &sub {
-                        Ball::Cached(ball) => match &mut source {
-                            BallSource::Fresh => {}
-                            BallSource::Owned(cache) => {
-                                cache.admit_extracted(piece.node, depth, ball)
-                            }
-                            BallSource::Shared { cache, consumer } => {
-                                cache.admit_extracted(piece.node, depth, ball, Some(consumer))
-                            }
-                        },
-                        Ball::CachedCompact(ball) => {
-                            let cached = CachedBall::Compact(std::sync::Arc::clone(ball));
-                            match &mut source {
-                                BallSource::Fresh => {}
-                                BallSource::Owned(cache) => {
-                                    cache.admit_cached(piece.node, depth, &cached)
-                                }
-                                BallSource::Shared { cache, consumer } => {
-                                    cache.admit_cached(piece.node, depth, &cached, Some(consumer))
-                                }
-                            }
-                        }
-                        Ball::Borrowed(_) => {}
-                    }
+                if let (true, Ball::Cached(ball), Some((cache, consumer))) = (budgeted, &sub, cache)
+                {
+                    cache.admit(piece.node, depth, ball, consumer);
                 }
                 // Chaos seam: a fault here models the diffusion stage
                 // dying mid-query (after extraction, before

@@ -8,11 +8,13 @@
 //! engines ([`MelopprEngine`], [`HybridMeloppr`], [`exact_top_k`]) and
 //! cross-mode agreement pin the API instead.
 
+use std::sync::Arc;
+
 use meloppr::backend::{ExactPower, LocalPpr, Meloppr, MonteCarlo};
 use meloppr::graph::generators::{self, corpus::PaperGraph};
 use meloppr::{
-    exact_top_k, CsrGraph, FpgaHybrid, HybridConfig, HybridMeloppr, MelopprEngine, MelopprParams,
-    PprBackend, PprParams, QueryRequest, Ranking, SelectionStrategy,
+    exact_top_k, ConcurrentSubgraphCache, CsrGraph, FpgaHybrid, HybridConfig, HybridMeloppr,
+    MelopprEngine, MelopprParams, PprBackend, PprParams, QueryRequest, Ranking, SelectionStrategy,
 };
 
 fn fixtures() -> Vec<(&'static str, CsrGraph)> {
@@ -137,7 +139,10 @@ fn meloppr_cached_backend_equals_uncached() {
     for (name, g) in &fixtures() {
         let params = staged_params();
         let engine = MelopprEngine::new(g, params.clone()).unwrap();
-        let cached_backend = Meloppr::new(g, params.clone()).unwrap().with_cache(64);
+        // One shard: the strict-LRU semantics of a single-threaded cache.
+        let cached_backend = Meloppr::new(g, params.clone())
+            .unwrap()
+            .with_shared_cache(Arc::new(ConcurrentSubgraphCache::with_shards(64, 1)));
         for round in 0..2 {
             // Round two hits the warm cache; results must not change.
             for seed in seeds_for(g) {

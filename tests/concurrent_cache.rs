@@ -12,9 +12,46 @@ use meloppr::backend::{BatchExecutor, Meloppr, QueryRequest};
 use meloppr::graph::generators;
 use meloppr::graph::generators::corpus::PaperGraph;
 use meloppr::{
-    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, ConcurrentSubgraphCache, CsrGraph,
-    GraphView, MelopprParams, NodeId, PprBackend, PprParams, SelectionStrategy, Subgraph,
+    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, CachedBall, ConcurrentSubgraphCache,
+    CsrGraph, ExtractScratch, GraphView, MelopprParams, NodeId, PprBackend, PprParams,
+    SelectionStrategy, Subgraph,
 };
+
+/// One demand lookup through the cache's serving entry point,
+/// attributed to `consumer`: the full ball (these caches keep the default
+/// full ball store) and the BFS work this call performed.
+fn get_as(
+    cache: &ConcurrentSubgraphCache,
+    g: &CsrGraph,
+    node: NodeId,
+    depth: u32,
+    consumer: &CacheConsumer,
+) -> (Arc<Subgraph>, usize) {
+    let (ball, work) = cache
+        .get_ball_with_as(
+            g,
+            node,
+            depth,
+            &mut ExtractScratch::new(),
+            &mut Vec::new(),
+            consumer,
+        )
+        .unwrap();
+    let CachedBall::Full(sub) = ball else {
+        panic!("a full ball store serves full balls");
+    };
+    (sub, work)
+}
+
+/// As [`get_as`], unattributed: only the global counters are observable.
+fn get(
+    cache: &ConcurrentSubgraphCache,
+    g: &CsrGraph,
+    node: NodeId,
+    depth: u32,
+) -> (Arc<Subgraph>, usize) {
+    get_as(cache, g, node, depth, &CacheConsumer::default())
+}
 
 fn staged(selection: SelectionStrategy) -> MelopprParams {
     MelopprParams {
@@ -50,7 +87,7 @@ fn stress_raw_cache_singleflight_and_consistency() {
                 for round in 0..rounds {
                     for i in 0..keys.len() {
                         let (node, depth) = keys[(i + t * 7 + round) % keys.len()];
-                        let (sub, work) = cache.get_or_extract_counted(g, node, depth).unwrap();
+                        let (sub, work) = get(cache, g, node, depth);
                         assert_eq!(sub.to_global(sub.seed_local()), node);
                         let ball = bfs_ball(g, node, depth).unwrap();
                         let fresh = Subgraph::extract(g, &ball).unwrap();
@@ -209,9 +246,7 @@ fn concurrent_executors_attribute_exactly_their_own_lookups() {
         let raw = scope.spawn(|| {
             for _ in 0..2 {
                 for &node in &raw_keys {
-                    cache
-                        .get_or_extract_counted_as(&g, node, 2, &raw_consumer)
-                        .unwrap();
+                    get_as(&cache, &g, node, 2, &raw_consumer);
                 }
             }
         });
@@ -312,18 +347,14 @@ fn rejected_balls_never_evict_admitted_ones() {
     let consumer = CacheConsumer::new(32);
     let admitted: Vec<NodeId> = (40..48u32).collect();
     for &node in &admitted {
-        cache
-            .get_or_extract_counted_as(&g, node, 1, &consumer)
-            .unwrap();
+        get_as(&cache, &g, node, 1, &consumer);
     }
     assert_eq!(cache.len(), admitted.len());
     let resident_before = cache.len();
 
     // A storm of giant one-off balls, all over budget.
     for seed in [100u32, 120, 140, 160, 180] {
-        let (sub, work) = cache
-            .get_or_extract_counted_as(&g, seed, 40, &consumer)
-            .unwrap();
+        let (sub, work) = get_as(&cache, &g, seed, 40, &consumer);
         assert!(sub.num_nodes() > 8);
         assert!(work > 0, "rejected balls are served fresh every time");
     }
@@ -333,9 +364,7 @@ fn rejected_balls_never_evict_admitted_ones() {
     assert_eq!(cache.len(), resident_before, "residency unchanged");
     // Every admitted ball still hits.
     for &node in &admitted {
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, node, 1, &consumer)
-            .unwrap();
+        let (_, work) = get_as(&cache, &g, node, 1, &consumer);
         assert_eq!(work, 0, "admitted ball {node} was displaced");
     }
 }
@@ -359,7 +388,7 @@ fn full_cache_never_exceeds_entry_budget_under_concurrent_inserts() {
             scope.spawn(move || {
                 for i in 0..64u32 {
                     let seed = (t as u32) * 64 + i;
-                    cache.get_or_extract(g, seed, 1).unwrap();
+                    get(cache, g, seed, 1);
                     // Mid-churn, the global bound must already hold.
                     assert!(
                         cache.resident_entries() <= 16,
@@ -399,7 +428,7 @@ fn byte_budget_holds_under_concurrent_churn() {
                     // per admission.
                     let seed = ((t as u32) * 313 + i * 7) % 2000;
                     let depth = 1 + (i % 3);
-                    cache.get_or_extract(g, seed, depth).unwrap();
+                    get(cache, g, seed, depth);
                     assert!(
                         cache.resident_bytes() <= budget,
                         "byte budget exceeded under concurrency"
@@ -524,7 +553,7 @@ proptest! {
                     for i in 0..48u32 {
                         let seed = (t as u32 + i * seed_stride) % n;
                         let depth = i % 3;
-                        cache.get_or_extract(g, seed, depth).unwrap();
+                        get(cache, g, seed, depth);
                     }
                 });
             }

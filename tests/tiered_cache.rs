@@ -21,6 +21,7 @@
 //! A proptest round-trips the ball codec (extract → compact → wire →
 //! compact → full) over random graphs.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -30,9 +31,9 @@ use meloppr::backend::{BatchExecutor, ExactPower, LocalPpr, Meloppr, MonteCarlo}
 use meloppr::core::ballindex::{decode_record, encode_record};
 use meloppr::graph::generators::{self, corpus::PaperGraph};
 use meloppr::{
-    bfs_ball, build_index, BallIndex, CacheBudget, CompactBall, ConcurrentSubgraphCache, CsrGraph,
-    FpgaHybrid, GraphView, HybridConfig, MelopprParams, NodeId, PprBackend, PprParams,
-    QueryRequest, Ranking, SelectionStrategy, Subgraph,
+    bfs_ball, build_index, BallIndex, BallStore, CacheBudget, CompactBall, ConcurrentSubgraphCache,
+    CsrGraph, FpgaHybrid, GraphView, HybridConfig, MelopprEngine, MelopprParams, NodeId,
+    PprBackend, PprParams, QueryRequest, Ranking, SelectionStrategy, Subgraph,
 };
 use meloppr_bench::sample_zipf_queries;
 
@@ -220,6 +221,79 @@ fn cold_tier_is_bit_identical_across_all_five_backends() {
     assert!(stats.cold_bytes_read > 0);
     assert_eq!(stats.extractions, 0, "a RAM miss fell through to BFS");
     assert_eq!(stats.cold_fallbacks, 0);
+}
+
+/// The compact ball store on the budgeted serving path. Under a memory
+/// budget the staged loop only *probes* the cache, then admits the ball
+/// it executes; a [`BallStore::Compact`] cache must keep that ball in
+/// compact form whether the probe extracted it by BFS (a full ball,
+/// compacted on admission) or read it from the cold tier (a compact
+/// ball, stored as it is). A repeat of the query is then served from
+/// compact residents alone: no extraction, the same ranking.
+#[test]
+fn budgeted_query_admits_compact_balls_with_and_without_cold_tier() {
+    let g = PaperGraph::G2Cora.generate_scaled(0.2, 11).unwrap();
+    let params = staged_params();
+    let tmp = TempIndex::new("compact-admit");
+    build_index(&g, 3, &tmp.0).unwrap();
+    let index = Arc::new(BallIndex::open(&tmp.0).unwrap());
+    let seed = 7;
+    // A budget far above the query's working set: the gate probes and
+    // admits, but never shrinks a ball, so the executed balls are
+    // exactly the unbudgeted engine's (node, stage depth) pairs.
+    let req = QueryRequest::new(seed).with_max_memory_bytes(1 << 30);
+    let trace = MelopprEngine::new(&g, params.clone())
+        .unwrap()
+        .query(seed)
+        .unwrap()
+        .stats
+        .trace;
+    let executed: BTreeSet<(NodeId, u32)> = trace
+        .iter()
+        .map(|rec| (rec.node, params.stages[rec.stage] as u32))
+        .collect();
+    let compact_bytes: usize = executed
+        .iter()
+        .map(|&(node, depth)| {
+            let sub = Subgraph::extract(&g, &bfs_ball(&g, node, depth).unwrap()).unwrap();
+            CompactBall::from_subgraph(&sub)
+                .expect("small balls compact")
+                .memory_bytes_total()
+        })
+        .sum();
+
+    for cold in [false, true] {
+        let mut cache = ConcurrentSubgraphCache::with_budget(CacheBudget::entries(512))
+            .with_ball_store(BallStore::Compact);
+        if cold {
+            cache = cache.with_cold_tier(Arc::clone(&index));
+        }
+        let cache = Arc::new(cache);
+        let backend = Meloppr::new(&g, params.clone())
+            .unwrap()
+            .with_shared_cache(Arc::clone(&cache));
+
+        let first = backend.query(&req).unwrap();
+        assert!(!first.stats.memory_limited, "cold tier {cold}");
+        assert_eq!(cache.len(), executed.len(), "cold tier {cold}");
+        assert_eq!(
+            cache.resident_bytes(),
+            compact_bytes,
+            "cold tier {cold}: executed balls must be resident in compact form"
+        );
+        assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
+        if cold {
+            assert_eq!(cache.stats().extractions, 0, "the index serves every ball");
+        }
+
+        let before = cache.stats();
+        let repeat = backend.query(&req).unwrap();
+        let after = cache.stats();
+        assert_eq!(after.extractions, before.extractions, "cold tier {cold}");
+        assert_eq!(after.cold_hits, before.cold_hits, "cold tier {cold}");
+        assert_eq!(repeat.stats.bfs_edges_scanned, 0, "cold tier {cold}");
+        assert_eq!(repeat.ranking, first.ranking, "cold tier {cold}");
+    }
 }
 
 /// The ISSUE-10 acceptance criterion: Zipf traffic under a cache byte
