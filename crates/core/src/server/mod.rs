@@ -13,12 +13,15 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! accept ── frame ── parse ── admit ──► DeadlineQueue ──► worker pool
-//!                              │   ▲        │                  │
-//!              REJECTED (unmeetable)  REJECTED (queue-full,    │
-//!                                     shed latest deadline)    │
-//!                                           │                  ▼
-//!                 client ◄── out-of-order response frames ── router.query
+//! accept ── reader: frame ── parse ── admit ──► DeadlineQueue ──► worker pool
+//!                              │        │             │                │
+//!                       PONG / STATS  REJECTED      REJECTED      router.query
+//!                       / parse ERR  (unmeetable)  (queue-full,        │
+//!                              │        │        shed latest deadline) │
+//!                              ▼        ▼             ▼                ▼
+//!                              └────────┴──► reply channel ◄───────────┘
+//!                                                  │
+//!           client ◄── writer: out-of-order response frames, sent at once
 //! ```
 //!
 //! Every request carries a **deadline** (client-supplied `deadline_ms`,
@@ -44,7 +47,11 @@
 //! re-check the deadline at dequeue (queue waits consume budget) and
 //! answer expired entries with `deadline-exceeded`.
 //!
-//! Because scheduling reorders requests, responses carry the client's
+//! Every connection runs two threads. The reader parses and admits
+//! frames; the writer owns the socket's write side and sends each
+//! response the moment it lands on the connection's reply channel, so
+//! no response waits for the next request or a read timeout. Because
+//! scheduling reorders requests, responses carry the client's
 //! correlation `id` and may arrive out of order; clients may pipeline
 //! freely.
 //!
@@ -76,11 +83,15 @@
 //!   (workspace pool, cache shards, calibration, telemetry) all recover
 //!   rather than cascade — a poisoned cache shard is cleared and
 //!   counted, never trusted.
-//! * **Client failures free server resources.** A peer that disconnects
-//!   with responses still owed, or dies mid-frame (length prefix
-//!   without payload), is counted in `aborted_connections`; its pending
-//!   completions drain into the closed channel and the connection
-//!   thread exits without wedging workers or other connections.
+//! * **Client failures free server resources.** A peer that dies
+//!   mid-frame (length prefix without payload), breaks the framing, or
+//!   vanishes so that a response write fails is counted in
+//!   `aborted_connections`. On a failed write the connection's writer
+//!   thread shuts the socket down and exits; the remaining completions
+//!   drain into its closed channel, and the reader and writer exit
+//!   without wedging workers or other connections. A peer that only
+//!   half-closes its write side still gets every owed response, then
+//!   EOF.
 //! * **Overload sheds, deadline pressure degrades** (see the lifecycle
 //!   above): `queue-full` / `deadline-unmeetable` / `deadline-exceeded`
 //!   are typed rejections, and precision-ladder degradation is counted,
@@ -105,8 +116,10 @@ pub use queue::{DeadlineQueue, Enqueued};
 pub use scheduler::{admit, Admission};
 pub use telemetry::{ServerTelemetry, TelemetrySnapshot};
 
-use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -127,8 +140,9 @@ pub struct ServerConfig {
     pub default_deadline_ms: f64,
     /// Completion latencies retained for quantile estimates.
     pub latency_reservoir: usize,
-    /// Read-timeout tick for connection threads: how often they notice
-    /// shutdown and flush out-of-order responses.
+    /// Read-timeout tick for connection reader threads: how often they
+    /// notice shutdown. Responses do not wait for it — each connection's
+    /// writer thread sends them as they complete.
     pub poll_interval: Duration,
     /// Precision rung applied to `QUERY` frames that carry no
     /// `precision=` token (`None` keeps the `Exact64` default). Lets an
@@ -163,7 +177,9 @@ struct Job {
     /// The score-arithmetic rung the client asked for (`Exact64` when
     /// the request carried none) — admission may execute below it.
     requested_precision: PrecisionClass,
-    /// Where the response frame goes (the owning connection's channel).
+    /// Where the response frame goes: the owning connection's reply
+    /// channel. Holding it keeps that connection's writer alive until
+    /// this job's response is sent.
     reply: mpsc::Sender<Response>,
 }
 
@@ -397,136 +413,103 @@ impl<'r, 'g> PprServer<'r, 'g> {
         }
     }
 
-    /// Serves one connection: read frames, admit queries, and interleave
-    /// out-of-order worker responses, until EOF or shutdown. Counts the
-    /// connection as aborted when the peer dies mid-frame or with
-    /// responses still owed.
+    /// Serves one connection on two threads. This one reads frames and
+    /// admits queries until EOF, broken framing or shutdown; a writer
+    /// thread owns the socket's write side and sends each response the
+    /// moment a worker (or this reader) hands it over. Counts the
+    /// connection as aborted when the peer dies mid-frame, breaks the
+    /// framing, or a response write fails.
     fn handle_connection(&self, mut stream: TcpStream) -> io::Result<()> {
         stream.set_read_timeout(Some(self.config.poll_interval))?;
         // Nagle's algorithm can hold small response frames hostage to the
         // peer's delayed ACK (tens of ms) — poison for a deadline-driven
         // protocol, so write eagerly.
         stream.set_nodelay(true)?;
+        let mut out = stream.try_clone()?;
         let (tx, rx) = mpsc::channel::<Response>();
-        let mut inflight: usize = 0;
-        let mut torn_frame = false;
-        let result = self
-            .connection_loop(&mut stream, &tx, &rx, &mut inflight, &mut torn_frame)
-            .and_then(|()| stream.flush());
-        // The client failed us (not the reverse) when it cut a frame
-        // mid-payload or vanished while responses were owed: count it,
-        // free the thread, and let stranded completions drain into the
-        // dropped receiver. Workers and other connections never notice.
-        if torn_frame || result.is_err() || inflight > 0 {
+        let (torn_frame, written) = std::thread::scope(|scope| {
+            // Every reply — completions, rejections, PONG, STATS, parse
+            // errors — goes through `tx`, so only the writer touches the
+            // socket and frames never interleave. The loop ends once the
+            // reader and every queued job have dropped their senders:
+            // owed responses are drained, not dropped.
+            let writer = std::thread::Builder::new().spawn_scoped(scope, move || {
+                for response in rx {
+                    if let Err(e) = write_frame(&mut out, &response.encode()) {
+                        // The peer is gone: wake the reader too. Pending
+                        // completions drain into the dropped receiver.
+                        let _ = out.shutdown(Shutdown::Both);
+                        return Err(e);
+                    }
+                }
+                Ok(())
+            })?;
+            let torn_frame = self.read_loop(&mut stream, tx);
+            let written = writer
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("response writer panicked")));
+            io::Result::Ok((torn_frame, written))
+        })?;
+        // The client failed us (not the reverse): count it. Workers and
+        // other connections never notice.
+        if torn_frame || written.is_err() {
             self.telemetry.on_aborted_connection();
         }
-        result
+        written
     }
 
-    /// The read/admit/respond loop of one connection. On return,
-    /// `inflight` holds the number of responses still owed (non-zero
-    /// only on error paths) and `torn_frame` whether the peer died
-    /// mid-frame.
-    fn connection_loop(
-        &self,
-        stream: &mut TcpStream,
-        tx: &mpsc::Sender<Response>,
-        rx: &mpsc::Receiver<Response>,
-        inflight: &mut usize,
-        torn_frame: &mut bool,
-    ) -> io::Result<()> {
+    /// The read/admit loop of one connection. Returns whether the peer
+    /// died mid-frame or broke the framing; dropping `tx` on return lets
+    /// the writer finish once the last owed response is out.
+    fn read_loop(&self, stream: &mut TcpStream, tx: mpsc::Sender<Response>) -> bool {
         let mut reader = FrameReader::new();
-        let mut open = true;
-        loop {
-            // Shutdown stops reading new frames but does NOT abandon
-            // responses already owed: the workers drain queued residents
-            // after the queue closes, and every admitted request must
-            // still reach its client ("drained, not dropped").
-            let reading = open && !self.is_shutdown();
-            if !reading && *inflight == 0 {
-                break;
-            }
-            if reading {
-                match reader.read_event(stream) {
-                    Ok(FrameEvent::Frame(payload)) => {
-                        self.handle_frame(&payload, stream, tx, inflight)?;
-                    }
-                    Ok(FrameEvent::Idle) => {}
-                    Ok(FrameEvent::Eof) => {
-                        open = false;
-                        // Bytes buffered past the last frame boundary
-                        // mean the peer died mid-frame.
-                        *torn_frame = reader.has_partial();
-                    }
-                    Err(_) => {
-                        // Unframeable input (oversized length, invalid
-                        // UTF-8, transport error): the peer broke the
-                        // framing contract.
-                        open = false;
-                        *torn_frame = true;
-                    }
-                }
-            } else {
-                // EOF, read error, or shutdown, but responses still owed
-                // (the peer may have half-closed): wait out the
-                // stragglers. A write failure below aborts the drain, so
-                // a vanished peer cannot wedge the wind-down.
-                match rx.recv_timeout(self.config.poll_interval) {
-                    Ok(response) => {
-                        write_frame(stream, &response.encode())?;
-                        *inflight -= 1;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // Flush any completions that arrived while we were reading.
-            while let Ok(response) = rx.try_recv() {
-                write_frame(stream, &response.encode())?;
-                *inflight -= 1;
+        // The read timeout only lets this loop notice shutdown, which
+        // stops reading new frames; admitted requests still get answered.
+        while !self.is_shutdown() {
+            match reader.read_event(stream) {
+                Ok(FrameEvent::Frame(payload)) => self.handle_frame(&payload, &tx),
+                Ok(FrameEvent::Idle) => {}
+                // Bytes buffered past the last frame boundary mean the
+                // peer died mid-frame.
+                Ok(FrameEvent::Eof) => return reader.has_partial(),
+                // Unframeable input (oversized length, invalid UTF-8,
+                // transport error): the peer broke the framing contract.
+                Err(_) => return true,
             }
         }
-        Ok(())
+        false
     }
 
-    /// Dispatches one parsed frame.
-    fn handle_frame(
-        &self,
-        payload: &str,
-        stream: &mut TcpStream,
-        tx: &mpsc::Sender<Response>,
-        inflight: &mut usize,
-    ) -> io::Result<()> {
-        let request = match Request::parse(payload) {
-            Ok(request) => request,
+    /// Dispatches one parsed frame; every reply goes to the writer.
+    fn handle_frame(&self, payload: &str, tx: &mpsc::Sender<Response>) {
+        let response = match Request::parse(payload) {
             Err(message) => {
                 self.telemetry.on_error();
-                return write_frame(stream, &Response::Error { id: 0, message }.encode());
+                Response::Error { id: 0, message }
+            }
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Stats) => Response::Stats(self.telemetry().render_compact()),
+            Ok(Request::Shutdown) => {
+                // Take the final snapshot, then stop the world; the
+                // snapshot still goes out as the answer.
+                let stats = Response::Stats(self.telemetry().render_compact());
+                self.shutdown();
+                stats
+            }
+            Ok(Request::Query(spec)) => {
+                // Admission answers rejections itself; completions come
+                // from the workers.
+                self.admit_query(spec, tx);
+                return;
             }
         };
-        match request {
-            Request::Ping => write_frame(stream, &Response::Pong.encode()),
-            Request::Stats => write_frame(
-                stream,
-                &Response::Stats(self.telemetry().render_compact()).encode(),
-            ),
-            Request::Shutdown => {
-                // Answer with the final snapshot, then stop the world.
-                let stats = Response::Stats(self.telemetry().render_compact());
-                let result = write_frame(stream, &stats.encode());
-                self.shutdown();
-                result
-            }
-            Request::Query(spec) => {
-                self.admit_query(spec, tx, inflight);
-                Ok(())
-            }
-        }
+        // A send fails only once the writer has given up on the peer.
+        let _ = tx.send(response);
     }
 
     /// Admission + enqueue for one `QUERY`. All rejections flow through
     /// the connection's response channel, like completions.
-    fn admit_query(&self, spec: QuerySpec, tx: &mpsc::Sender<Response>, inflight: &mut usize) {
+    fn admit_query(&self, spec: QuerySpec, tx: &mpsc::Sender<Response>) {
         let mut spec = spec;
         if spec.precision.is_none() {
             spec.precision = self.config.default_precision;
@@ -541,7 +524,6 @@ impl<'r, 'g> PprServer<'r, 'g> {
         let remaining = Duration::try_from_secs_f64((deadline_ms / 1e3).max(0.0))
             .unwrap_or_else(|_| Duration::from_secs_f64(MAX_DEADLINE_MS / 1e3));
         let deadline = arrival + remaining;
-        *inflight += 1;
         let admission = match admit(self.router, &spec.to_query_request(), remaining) {
             Ok(admission) => admission,
             Err(e) => {

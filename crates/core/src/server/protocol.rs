@@ -68,6 +68,9 @@ pub const MAX_DEADLINE_MS: f64 = 3_600_000.0;
 
 /// Writes one frame: 4-byte big-endian payload length, then the payload.
 ///
+/// The frame goes out in a single `write_all`, so under `TCP_NODELAY`
+/// the prefix and payload leave as one segment and wake the peer once.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; oversized payloads are `InvalidInput`.
@@ -78,8 +81,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -88,8 +93,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
 pub enum FrameEvent {
     /// A complete frame arrived.
     Frame(String),
-    /// The read timed out mid-wait (tick: check shutdown, flush
-    /// responses, try again). Any partial frame stays buffered.
+    /// The read timed out mid-wait (tick: check shutdown, try again).
+    /// Any partial frame stays buffered.
     Idle,
     /// The peer closed the connection.
     Eof,
@@ -99,9 +104,9 @@ pub enum FrameEvent {
 ///
 /// Server connection threads read with a short [`read
 /// timeout`](std::net::TcpStream::set_read_timeout) so they can notice
-/// shutdown and flush out-of-order responses; a timeout can split a
-/// frame across reads, so the decoder buffers partial input between
-/// [`FrameReader::read_event`] calls.
+/// shutdown (responses go out on a separate writer thread, not on this
+/// tick); a timeout can split a frame across reads, so the decoder
+/// buffers partial input between [`FrameReader::read_event`] calls.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -652,6 +657,37 @@ mod tests {
         wire.extend_from_slice(b"junk");
         let mut reader = FrameReader::new();
         assert!(reader.read_event(&mut wire.as_slice()).is_err());
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Records every `write` call separately.
+        #[derive(Default)]
+        struct Counting {
+            writes: Vec<Vec<u8>>,
+            flushes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.flushes += 1;
+                Ok(())
+            }
+        }
+        let mut sink = Counting::default();
+        for payload in ["PONG", "", "OK id=7 ranking=3:0.5"] {
+            write_frame(&mut sink, payload).unwrap();
+        }
+        assert_eq!(sink.writes.len(), 3, "one write per frame");
+        assert_eq!(sink.flushes, 3);
+        assert_eq!(sink.writes[0], b"\0\0\0\x04PONG");
+        assert_eq!(sink.writes[1], b"\0\0\0\0");
+        let mut expected = 21u32.to_be_bytes().to_vec();
+        expected.extend_from_slice(b"OK id=7 ranking=3:0.5");
+        assert_eq!(sink.writes[2], expected);
     }
 
     #[test]

@@ -146,8 +146,9 @@ impl ServerTelemetry {
         self.failovers.fetch_add(count, Ordering::Relaxed);
     }
 
-    /// A client connection died with responses still owed (mid-frame
-    /// EOF or a write to a closed socket).
+    /// A client connection failed: the peer died mid-frame, broke the
+    /// framing, or vanished so the connection's writer thread could not
+    /// send a response.
     pub fn on_aborted_connection(&self) {
         self.aborted_connections.fetch_add(1, Ordering::Relaxed);
     }

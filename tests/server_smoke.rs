@@ -5,8 +5,8 @@
 //! cheaper backends or fails them fast.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use meloppr::backend::LocalPpr;
 use meloppr::core::backend::{BackendCaps, CostEstimate};
@@ -582,6 +582,119 @@ fn client_failures_free_workers_and_count_aborts() {
     // completion (into the void) — the worker was freed, not wedged.
     assert_eq!(snapshot.completed, 5);
     assert_eq!(snapshot.errors, 0);
+}
+
+/// Responses leave the moment they complete: with a 500 ms read tick,
+/// a query's `OK` and a `PING`'s `PONG` must still come back far sooner
+/// than one tick — neither waits for the next request frame or a read
+/// timeout.
+#[test]
+fn responses_do_not_wait_for_the_read_tick() {
+    const TICK: Duration = Duration::from_millis(500);
+    const BOUND: Duration = Duration::from_millis(100);
+
+    let router = Router::new().with_backend(Box::new(Stub {
+        kind: BackendKind::MonteCarlo,
+        precision: 0.9,
+        estimate_ns: 1e3,
+        work: Duration::ZERO,
+    }));
+    let server = PprServer::bind(
+        &router,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 16,
+            default_deadline_ms: 10_000.0,
+            poll_interval: TICK,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve());
+        let _guard = ShutdownOnDrop(&server);
+        let mut conn = Client::connect(addr);
+
+        let start = Instant::now();
+        conn.send(&Request::Query(QuerySpec::new(1, 7)));
+        match conn.recv() {
+            Response::Ranking { id, .. } => assert_eq!(id, 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        let query_rtt = start.elapsed();
+        assert!(query_rtt < BOUND, "QUERY round trip took {query_rtt:?}");
+
+        let start = Instant::now();
+        conn.send(&Request::Ping);
+        assert_eq!(conn.recv(), Response::Pong);
+        let ping_rtt = start.elapsed();
+        assert!(ping_rtt < BOUND, "PING round trip took {ping_rtt:?}");
+
+        server.shutdown();
+        serve.join().unwrap().unwrap();
+    });
+}
+
+/// A client that pipelines queries and then half-closes its write side
+/// (send everything, then read to EOF) still gets every owed response,
+/// then a clean EOF, and is not counted as an aborted connection.
+#[test]
+fn half_closed_client_gets_every_response_then_eof() {
+    const QUERIES: u64 = 4;
+
+    let router = Router::new().with_backend(Box::new(Stub {
+        kind: BackendKind::MonteCarlo,
+        precision: 0.9,
+        estimate_ns: 1e6,
+        work: Duration::from_millis(40),
+    }));
+    let server = PprServer::bind(
+        &router,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 16,
+            default_deadline_ms: 10_000.0,
+            poll_interval: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve());
+        let _guard = ShutdownOnDrop(&server);
+        let mut conn = Client::connect(addr);
+        for id in 0..QUERIES {
+            conn.send(&Request::Query(QuerySpec::new(id, 7)));
+        }
+        conn.stream.shutdown(Shutdown::Write).unwrap();
+
+        let mut ids = Vec::new();
+        loop {
+            match conn.reader.read_event(&mut conn.stream).unwrap() {
+                FrameEvent::Frame(payload) => match Response::parse(&payload).unwrap() {
+                    Response::Ranking { id, .. } => ids.push(id),
+                    other => panic!("unexpected {other:?}"),
+                },
+                FrameEvent::Idle => continue,
+                FrameEvent::Eof => break,
+            }
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..QUERIES).collect::<Vec<_>>());
+
+        server.shutdown();
+        serve.join().unwrap().unwrap();
+    });
+
+    let snapshot = server.telemetry();
+    assert_eq!(snapshot.completed, QUERIES);
+    assert_eq!(snapshot.aborted_connections, 0);
 }
 
 /// Shutdown must unblock the accept loop even for a wildcard bind,
